@@ -1,6 +1,6 @@
 //! Kernel micro-benchmarks: naive vs blocked vs parallel vs register-blocked
-//! SIMD GEMM (f64/f32/int8), im2col conv forward, full raycast scan, and an
-//! end-to-end loop tick.
+//! SIMD GEMM (f64/f32/int8), im2col conv and deconv forwards, full raycast
+//! scan, and an end-to-end loop tick.
 //!
 //! Emits `BENCH_kernels.json` (tagged with the host ISA) in the working
 //! directory so later PRs have a perf trajectory, and verifies on the way
@@ -19,7 +19,7 @@ use sensact_lidar::raycast::{Lidar, LidarConfig};
 use sensact_lidar::scene::SceneGenerator;
 use sensact_math::kernels;
 use sensact_math::rng::StdRng;
-use sensact_nn::conv::{Conv3d, Dims3};
+use sensact_nn::conv::{Conv3d, Deconv3d, Dims3};
 use sensact_nn::init::Initializer;
 use sensact_nn::layers::Layer;
 use sensact_nn::Tensor;
@@ -131,6 +131,28 @@ fn main() {
         bch.iter(|| black_box(conv.forward(black_box(&input), false)))
     });
 
+    // --- Deconv3d forward: scatter reference vs blocked GEMM lowering ----
+    // R-MAE's first decoder layer: 16→8 channels, k3 s1 over its 2×18×30
+    // bottleneck.
+    let mut deconv = Deconv3d::new(16, 8, 3, 1, 1, Dims3::new(2, 18, 30), &mut init);
+    let dlen = 16 * 2 * 18 * 30;
+    let dx: Vec<f64> = (0..dlen).map(|_| rng.random::<f64>() - 0.5).collect();
+    let dinput = Tensor::from_vec(vec![1, dlen], dx);
+    let reference = deconv.forward_reference(&dinput);
+    let fast = deconv.forward(&dinput, false);
+    let deconv_diff = max_abs_diff(reference.as_slice(), fast.as_slice());
+    assert!(
+        deconv_diff <= 1e-12,
+        "deconv kernels diverged: {deconv_diff:e}"
+    );
+
+    h.bench_function("deconv3d_forward_reference/16x8x2x18x30", |bch| {
+        bch.iter(|| black_box(deconv.forward_reference(black_box(&dinput))))
+    });
+    h.bench_function("deconv3d_forward_lowered/16x8x2x18x30", |bch| {
+        bch.iter(|| black_box(deconv.forward(black_box(&dinput), false)))
+    });
+
     // --- Raycast: naive vs azimuth-bucketed vs parallel 64x512 scan ------
     let lidar = Lidar::new(LidarConfig::default());
     let scene = SceneGenerator::new(1).generate();
@@ -186,6 +208,8 @@ fn main() {
     let gemm_int8 = mean("gemm_int8/256");
     let conv_ref = mean("conv3d_forward_reference/4x8x10^3");
     let conv_fast = mean("conv3d_forward_im2col/4x8x10^3");
+    let deconv_ref = mean("deconv3d_forward_reference/16x8x2x18x30");
+    let deconv_fast = mean("deconv3d_forward_lowered/16x8x2x18x30");
     let ray_naive = mean("raycast_naive/64x512");
     let ray_bucketed = mean("raycast_bucketed/64x512");
     let ray_parallel = mean("raycast_parallel/64x512");
@@ -215,6 +239,11 @@ fn main() {
            \"im2col_ns\": {conv_fast:.0},\n    \
            \"speedup\": {:.2},\n    \
            \"max_abs_diff\": {conv_diff:e}\n  }},\n  \
+         \"deconv3d_forward\": {{\n    \
+           \"reference_ns\": {deconv_ref:.0},\n    \
+           \"lowered_ns\": {deconv_fast:.0},\n    \
+           \"speedup\": {:.2},\n    \
+           \"max_abs_diff\": {deconv_diff:e}\n  }},\n  \
          \"raycast_64x512\": {{\n    \
            \"naive_ns\": {ray_naive:.0},\n    \
            \"bucketed_ns\": {ray_bucketed:.0},\n    \
@@ -229,6 +258,7 @@ fn main() {
         gemm_simd / gemm_f32,
         gemm_simd / gemm_int8,
         conv_ref / conv_fast,
+        deconv_ref / deconv_fast,
         ray_naive / ray_bucketed,
         ray_naive / ray_parallel,
     );

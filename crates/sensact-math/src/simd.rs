@@ -106,11 +106,13 @@ pub fn cpu_features() -> &'static CpuFeatures {
 }
 
 /// Whether an f64 GEMM of this shape takes a SIMD path on this host — the
-/// exact gate [`gemm_f64`] applies. The batched kernels pin their dispatch
-/// on the *per-item* shape through this predicate so a stack of small
-/// problems never crosses onto a different rounding path than the same
-/// problems dispatched one at a time.
-pub(crate) fn simd_f64_eligible(m: usize, n: usize, k: usize) -> bool {
+/// exact gate the f64 GEMM entry points apply. The batched kernels pin
+/// their dispatch on the *per-item* shape through this predicate so a stack
+/// of small problems never crosses onto a different rounding path than the
+/// same problems dispatched one at a time; the blocked conv lowering in
+/// `sensact_nn` pins its per-block calls to the whole layer's choice the
+/// same way.
+pub fn simd_f64_eligible(m: usize, n: usize, k: usize) -> bool {
     let ops = m.saturating_mul(n).saturating_mul(k);
     cpu_features().simd_f64() && n != 0 && k != 0 && ops >= SIMD_MIN_OPS
 }

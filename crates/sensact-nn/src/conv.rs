@@ -7,11 +7,14 @@
 //!
 //! Tensors are laid out `[batch, channels * depth * height * width]` with the
 //! spatial dimensions carried by the layer configuration. Forward and backward
-//! are lowered onto the cache-blocked GEMM kernels in `sensact_math::kernels`
-//! via an im2col/col2im buffer that is allocated once per call and reused
-//! across batch items. The original gather-formulation loop (which skips
-//! all-zero input voxels — the "spatially sparse" trick the paper's encoder
-//! relies on) is kept as [`Conv3d::forward_reference`] /
+//! are lowered onto the GEMM kernels in `sensact_math::kernels`. The
+//! inference forwards lower in balanced blocks of positions (output positions
+//! for [`Conv3d`], input positions for [`Deconv3d`]) into one per-thread
+//! scratch sized for L2: each block is unfolded, run through the packed-panel
+//! GEMM and folded before the next one starts, so the column panel the GEMM
+//! reads is still cache-resident. The original gather-formulation loop (which
+//! skips all-zero input voxels — the "spatially sparse" trick the paper's
+//! encoder relies on) is kept as [`Conv3d::forward_reference`] /
 //! [`Deconv3d::forward_reference`] for equivalence testing and benchmarking.
 
 use crate::init::Initializer;
@@ -20,6 +23,64 @@ use crate::tensor::Tensor;
 use sensact_core::checkpoint::{Checkpoint, CheckpointError, Section, StageState};
 use sensact_math::kernels;
 use sensact_math::kernels::Precision as RunPrecision;
+use sensact_math::simd;
+use std::ops::Range;
+
+/// Column-panel f64s one lowering block may unfold (128 KiB): the panel, the
+/// GEMM's packed copy of it and the block's output tile stay L2-resident
+/// between unfold, GEMM and fold.
+const BLOCK_COL_LEN: usize = 16 * 1024;
+
+/// Number of balanced blocks to lower `len` positions in, each unfolding a
+/// `patch`-wide column panel of about [`BLOCK_COL_LEN`] f64s at most.
+///
+/// `eligible(n)` is the SIMD gate of the GEMM a block of `n` positions runs
+/// (monotone in `n`). When the whole layer would take the SIMD path, the
+/// count shrinks until the smallest block takes it too, so blocking never
+/// changes which kernel — and so which rounding — an output element gets.
+fn lowering_blocks(len: usize, patch: usize, eligible: impl Fn(usize) -> bool) -> usize {
+    let mut blocks = (len * patch).div_ceil(BLOCK_COL_LEN).clamp(1, len.max(1));
+    if eligible(len) {
+        while blocks > 1 && !eligible(len / blocks) {
+            blocks -= 1;
+        }
+    }
+    blocks
+}
+
+/// Positions of block `b` out of `blocks` balanced blocks over `len`.
+fn block_range(len: usize, blocks: usize, b: usize) -> Range<usize> {
+    b * len / blocks..(b + 1) * len / blocks
+}
+
+thread_local! {
+    /// Lowering scratch shared by every conv/deconv forward on the thread:
+    /// one block's column panel plus its output tile (conv) or the
+    /// transposed input row (deconv). It grows to the largest layer's need
+    /// once, so models add no per-layer buffers.
+    static LOWERING_SCRATCH: std::cell::RefCell<Vec<f64>> =
+        const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Run `f` on the first `len` f64s of the thread's lowering scratch.
+fn with_lowering_scratch<R>(len: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
+    LOWERING_SCRATCH.with(|scratch| {
+        let mut scratch = scratch.borrow_mut();
+        if scratch.len() < len {
+            scratch.resize(len, 0.0);
+        }
+        f(&mut scratch[..len])
+    })
+}
+
+/// Valid kernel taps `lo..hi` at coordinate `o`: tap `t` touches position
+/// `o·stride + t - pad` on the other side, which must lie in `0..extent`.
+#[inline]
+fn tap_range(o: usize, stride: usize, pad: usize, kernel: usize, extent: usize) -> Range<usize> {
+    let lo = pad.saturating_sub(o * stride).min(kernel);
+    let hi = (extent + pad).saturating_sub(o * stride).clamp(lo, kernel);
+    lo..hi
+}
 
 /// Spatial extents of a 3-D feature volume.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -173,47 +234,37 @@ impl Conv3d {
         self.cin * self.kernel * self.kernel * self.kernel
     }
 
-    /// Unfold one batch row into `col`, laid out `[out_volume, cin*k³]`
-    /// row-major. Out-of-bounds (padding) taps are written as zero, so the
-    /// buffer never needs pre-clearing.
-    fn im2col(&self, xrow: &[f64], col: &mut [f64]) {
+    /// Unfold output positions `positions` of one batch row into `col`, laid
+    /// out `[positions.len(), cin*k³]` row-major. Out-of-bounds (padding)
+    /// taps are written as zero, so the buffer never needs pre-clearing.
+    /// Bounds are resolved once per position into valid tap ranges, so the
+    /// innermost loop is a plain copy along x.
+    fn im2col(&self, xrow: &[f64], positions: Range<usize>, col: &mut [f64]) {
         let k = self.kernel;
-        let ckk = self.patch_len();
-        let mut p = 0;
-        for oz in 0..self.out_dims.d {
-            for oy in 0..self.out_dims.h {
-                for ox in 0..self.out_dims.w {
-                    let dst = &mut col[p * ckk..(p + 1) * ckk];
-                    let mut q = 0;
-                    for ci in 0..self.cin {
-                        for kd in 0..k {
-                            let z = oz * self.stride + kd;
-                            for kh in 0..k {
-                                let y = oy * self.stride + kh;
-                                for kw in 0..k {
-                                    let x = ox * self.stride + kw;
-                                    dst[q] = if z < self.pad
-                                        || y < self.pad
-                                        || x < self.pad
-                                        || z - self.pad >= self.in_dims.d
-                                        || y - self.pad >= self.in_dims.h
-                                        || x - self.pad >= self.in_dims.w
-                                    {
-                                        0.0
-                                    } else {
-                                        xrow[self.in_idx(
-                                            ci,
-                                            z - self.pad,
-                                            y - self.pad,
-                                            x - self.pad,
-                                        )]
-                                    };
-                                    q += 1;
-                                }
-                            }
+        let (s, pad) = (self.stride, self.pad);
+        let (ind, od) = (self.in_dims, self.out_dims);
+        assert_eq!(col.len(), positions.len() * self.patch_len());
+        for (p, dst) in positions.zip(col.chunks_exact_mut(self.patch_len())) {
+            let (oz, oy, ox) = (p / (od.h * od.w), p / od.w % od.h, p % od.w);
+            let zs = tap_range(oz, s, pad, k, ind.d);
+            let ys = tap_range(oy, s, pad, k, ind.h);
+            let xs = tap_range(ox, s, pad, k, ind.w);
+            if zs.len() < k || ys.len() < k || xs.len() < k {
+                dst.fill(0.0);
+            }
+            if xs.is_empty() {
+                continue;
+            }
+            let x0 = ox * s + xs.start - pad;
+            for ci in 0..self.cin {
+                for kd in zs.clone() {
+                    for kh in ys.clone() {
+                        let src = self.in_idx(ci, oz * s + kd - pad, oy * s + kh - pad, x0);
+                        let q = ((ci * k + kd) * k + kh) * k;
+                        for (d, &v) in dst[q + xs.start..q + xs.end].iter_mut().zip(&xrow[src..]) {
+                            *d = v;
                         }
                     }
-                    p += 1;
                 }
             }
         }
@@ -337,12 +388,67 @@ impl Conv3d {
         out
     }
 
+    /// Blocks of output positions the f64 lowering runs in (see
+    /// [`lowering_blocks`]; the block GEMM is `cout × n × cin·k³`).
+    fn lowering_blocks(&self) -> usize {
+        let (cout, ckk) = (self.cout, self.patch_len());
+        lowering_blocks(self.out_dims.volume(), ckk, |n| {
+            simd::simd_f64_eligible(cout, n, ckk)
+        })
+    }
+
+    /// The f64 inference lowering behind [`Layer::forward`] and
+    /// [`forward_with_precision`](Conv3d::forward_with_precision)`(F64)`.
+    ///
+    /// Each block of output positions is unfolded into the thread's
+    /// lowering scratch, multiplied into a bias-seeded `[cout × n]` tile
+    /// and copied into the output row. Every output element is one dot
+    /// product over `cin·k³` whose rounding depends only on the kernel path,
+    /// and blocks keep the whole layer's path, so the result is
+    /// bit-identical to one im2col + [`gemm_transb`](kernels::gemm_transb)
+    /// over the whole row.
+    fn forward_f64(&mut self, input: &Tensor) -> Tensor {
+        let batch = input.shape()[0];
+        assert_eq!(
+            input.shape()[1],
+            self.in_features(),
+            "Conv3d: input feature mismatch"
+        );
+        let (cout, vol, ckk) = (self.cout, self.out_dims.volume(), self.patch_len());
+        let mut out = Tensor::zeros(vec![batch, cout * vol]);
+        let blocks = self.lowering_blocks();
+        let span = vol.div_ceil(blocks);
+        with_lowering_scratch(span * (ckk + cout), |scratch| {
+            let (col, tile) = scratch.split_at_mut(span * ckk);
+            for b in 0..batch {
+                let (xrow, orow) = (input.row(b), out.row_mut(b));
+                for blk in 0..blocks {
+                    let r = block_range(vol, blocks, blk);
+                    let n = r.len();
+                    let (col, tile) = (&mut col[..n * ckk], &mut tile[..cout * n]);
+                    self.im2col(xrow, r.clone(), col);
+                    for (t, &bias) in tile.chunks_exact_mut(n).zip(&self.bias) {
+                        t.fill(bias);
+                    }
+                    // tile[co, p] = bias[co] + Σ_q W[co, q] · col[p, q]:
+                    // weights are [cout, cin*k³] and col is [n, cin*k³], so
+                    // this is the transposed-B GEMM (beta = 1 keeps the bias).
+                    kernels::gemm_transb(cout, n, ckk, 1.0, &self.weights, col, 1.0, tile);
+                    for (co, t) in tile.chunks_exact(n).enumerate() {
+                        orow[co * vol + r.start..co * vol + r.end].copy_from_slice(t);
+                    }
+                }
+            }
+        });
+        out
+    }
+
     /// Inference forward pass at a runtime-selected numeric precision (the
     /// mixed-precision mode a loop's
     /// `StageContext::precision` carries):
     ///
-    /// - [`RunPrecision::F64`] — the production im2col + f64 GEMM path,
-    ///   bit-identical to [`Layer::forward`].
+    /// - [`RunPrecision::F64`] — the production blocked im2col + f64 GEMM
+    ///   lowering, the same code as [`Layer::forward`].
     /// - [`RunPrecision::F32`] — weights cast once into a cached f32 copy,
     ///   the im2col buffer cast per batch, lowered onto the f32 SIMD GEMM.
     /// - [`RunPrecision::Int8`] — weights and columns quantized to the
@@ -352,6 +458,9 @@ impl Conv3d {
     ///
     /// Inference-only: does not cache the input for [`Layer::backward`].
     pub fn forward_with_precision(&mut self, input: &Tensor, precision: RunPrecision) -> Tensor {
+        if precision == RunPrecision::F64 {
+            return self.forward_f64(input);
+        }
         let batch = input.shape()[0];
         let in_feat = self.cin * self.in_dims.volume();
         assert_eq!(input.shape()[1], in_feat, "Conv3d: input feature mismatch");
@@ -360,16 +469,7 @@ impl Conv3d {
         let mut out = Tensor::zeros(vec![batch, self.cout * vol]);
         let mut col = vec![0.0; vol * ckk];
         match precision {
-            RunPrecision::F64 => {
-                for b in 0..batch {
-                    self.im2col(input.row(b), &mut col);
-                    let orow = out.row_mut(b);
-                    for co in 0..self.cout {
-                        orow[co * vol..(co + 1) * vol].fill(self.bias[co]);
-                    }
-                    kernels::gemm_transb(self.cout, vol, ckk, 1.0, &self.weights, &col, 1.0, orow);
-                }
-            }
+            RunPrecision::F64 => unreachable!("lowered by forward_f64 above"),
             RunPrecision::F32 => {
                 if self.weights_f32.is_none() {
                     self.weights_f32 = Some(self.weights.iter().map(|w| *w as f32).collect());
@@ -377,7 +477,7 @@ impl Conv3d {
                 let mut colf = vec![0.0f32; vol * ckk];
                 let mut outf = vec![0.0f32; self.cout * vol];
                 for b in 0..batch {
-                    self.im2col(input.row(b), &mut col);
+                    self.im2col(input.row(b), 0..vol, &mut col);
                     for (dst, src) in colf.iter_mut().zip(&col) {
                         *dst = *src as f32;
                     }
@@ -394,7 +494,7 @@ impl Conv3d {
             RunPrecision::Int8 => {
                 let mut prod = vec![0.0; self.cout * vol];
                 for b in 0..batch {
-                    self.im2col(input.row(b), &mut col);
+                    self.im2col(input.row(b), 0..vol, &mut col);
                     // Integer accumulation is exact; the bias is added after
                     // dequantization so it is not quantized away.
                     let _ = kernels::gemm_transb_int8(
@@ -499,7 +599,7 @@ impl Conv3d {
                         in_feat,
                         "Conv3d::forward_batch: input row feature mismatch"
                     );
-                    self.im2col(row, &mut col[t * panel..(t + 1) * panel]);
+                    self.im2col(row, 0..vol, &mut col[t * panel..(t + 1) * panel]);
                 }
                 let ob = &mut out[c0 * self.cout * vol..c1 * self.cout * vol];
                 for orow in ob.chunks_mut(self.cout * vol) {
@@ -567,7 +667,7 @@ impl Conv3d {
                     in_feat,
                     "Conv3d::forward_batch_into: input row feature mismatch"
                 );
-                self.im2col(row, &mut col[t * panel..(t + 1) * panel]);
+                self.im2col(row, 0..vol, &mut col[t * panel..(t + 1) * panel]);
             }
             for orow in outs[c0..c1].iter() {
                 assert_eq!(
@@ -654,7 +754,7 @@ impl Conv3d {
                 in_feat,
                 "Conv3d::forward_batch: input row feature mismatch"
             );
-            self.im2col(row, &mut col[t * panel..(t + 1) * panel]);
+            self.im2col(row, 0..vol, &mut col[t * panel..(t + 1) * panel]);
         }
         self.batch_col = col;
         let nn = batch * vol;
@@ -720,25 +820,7 @@ impl Conv3d {
 
 impl Layer for Conv3d {
     fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        let batch = input.shape()[0];
-        let in_feat = self.cin * self.in_dims.volume();
-        assert_eq!(input.shape()[1], in_feat, "Conv3d: input feature mismatch");
-        let vol = self.out_dims.volume();
-        let ckk = self.patch_len();
-        let mut out = Tensor::zeros(vec![batch, self.cout * vol]);
-        // im2col scratch, allocated once and reused for every batch item.
-        let mut col = vec![0.0; vol * ckk];
-        for b in 0..batch {
-            self.im2col(input.row(b), &mut col);
-            let orow = out.row_mut(b);
-            for co in 0..self.cout {
-                orow[co * vol..(co + 1) * vol].fill(self.bias[co]);
-            }
-            // out[co, p] = bias[co] + Σ_q W[co, q] · col[p, q]
-            // weights are [cout, cin*k³] row-major and col is [P, cin*k³], so
-            // this is exactly the transposed-B GEMM (beta = 1 keeps the bias).
-            kernels::gemm_transb(self.cout, vol, ckk, 1.0, &self.weights, &col, 1.0, orow);
-        }
+        let out = self.forward_f64(input);
         self.cached_input = Some(input.clone());
         out
     }
@@ -759,7 +841,7 @@ impl Layer for Conv3d {
             for co in 0..self.cout {
                 self.grad_b[co] += grow[co * vol..(co + 1) * vol].iter().sum::<f64>();
             }
-            self.im2col(input.row(b), &mut col);
+            self.im2col(input.row(b), 0..vol, &mut col);
             // grad_w += g [cout, P] · col [P, cin*k³]  (beta = 1 accumulates)
             kernels::gemm(self.cout, ckk, vol, 1.0, grow, &col, 1.0, &mut self.grad_w);
             // grad_col = gᵀ W : [P, cin*k³]
@@ -863,7 +945,9 @@ impl Deconv3d {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration produces an empty output volume.
+    /// Panics if the configuration produces an empty output volume: every
+    /// input extent must be non-zero and satisfy
+    /// `(extent - 1)·stride + kernel > 2·pad`.
     pub fn new(
         cin: usize,
         cout: usize,
@@ -877,12 +961,16 @@ impl Deconv3d {
             kernel > 0 && stride > 0,
             "kernel and stride must be positive"
         );
+        let fits = |extent: usize| extent > 0 && (extent - 1) * stride + kernel > 2 * pad;
+        assert!(
+            fits(in_dims.d) && fits(in_dims.h) && fits(in_dims.w),
+            "deconv output is empty: padding trims the whole upsampled input"
+        );
         let out_dims = Dims3::new(
             deconv_out(in_dims.d, kernel, stride, pad),
             deconv_out(in_dims.h, kernel, stride, pad),
             deconv_out(in_dims.w, kernel, stride, pad),
         );
-        assert!(out_dims.volume() > 0, "deconv output is empty");
         let fan_in = cin * kernel * kernel * kernel;
         let wcount = cin * cout * kernel * kernel * kernel;
         Deconv3d {
@@ -958,24 +1046,49 @@ impl Deconv3d {
         self.cout * self.kernel * self.kernel * self.kernel
     }
 
-    /// Scatter a `[in_volume, cout*k³]` column buffer onto an output row
-    /// (add-accumulate; taps landing in the padding margin are dropped).
-    fn col2out_add(&self, col: &[f64], orow: &mut [f64]) {
+    /// Blocks of input positions the lowering runs in (see
+    /// [`lowering_blocks`]; the block GEMM is `n × cout·k³ × cin`).
+    fn lowering_blocks(&self) -> usize {
+        let (cin, cokk) = (self.cin, self.patch_len());
+        lowering_blocks(self.in_dims.volume(), cokk, |n| {
+            simd::simd_f64_eligible(n, cokk, cin)
+        })
+    }
+
+    /// Scatter the `[positions.len(), cout*k³]` column block of input
+    /// positions `positions` onto an output row (add-accumulate; taps
+    /// landing in the padding margin are dropped). An input position adds
+    /// at most once to each output, and positions are folded in ascending
+    /// order, so every output accumulates in the same order however the
+    /// positions are blocked. Bounds are resolved once per position into
+    /// valid tap ranges, so the innermost loop is a plain add along x.
+    fn col2out_add(&self, col: &[f64], positions: Range<usize>, orow: &mut [f64]) {
         let k = self.kernel;
-        let k3 = k * k * k;
-        let cokk = self.patch_len();
-        let mut p = 0;
-        for z in 0..self.in_dims.d {
-            for y in 0..self.in_dims.h {
-                for x in 0..self.in_dims.w {
-                    let src = &col[p * cokk..(p + 1) * cokk];
-                    for (kd, kh, kw, oz, oy, ox) in self.scatter_targets(z, y, x) {
-                        let koff = (kd * k + kh) * k + kw;
-                        for co in 0..self.cout {
-                            orow[self.out_idx(co, oz, oy, ox)] += src[co * k3 + koff];
+        let (s, pad) = (self.stride, self.pad);
+        let (ind, od) = (self.in_dims, self.out_dims);
+        assert_eq!(col.len(), positions.len() * self.patch_len());
+        for (p, src) in positions.zip(col.chunks_exact(self.patch_len())) {
+            let (z, y, x) = (p / (ind.h * ind.w), p / ind.w % ind.h, p % ind.w);
+            let zs = tap_range(z, s, pad, k, od.d);
+            let ys = tap_range(y, s, pad, k, od.h);
+            let xs = tap_range(x, s, pad, k, od.w);
+            if xs.is_empty() {
+                continue;
+            }
+            for (co, taps) in src.chunks_exact(k * k * k).enumerate() {
+                for kd in zs.clone() {
+                    for kh in ys.clone() {
+                        let t = (kd * k + kh) * k;
+                        let o = self.out_idx(
+                            co,
+                            z * s + kd - pad,
+                            y * s + kh - pad,
+                            x * s + xs.start - pad,
+                        );
+                        for (d, &v) in orow[o..].iter_mut().zip(&taps[t + xs.start..t + xs.end]) {
+                            *d += v;
                         }
                     }
-                    p += 1;
                 }
             }
         }
@@ -1091,6 +1204,12 @@ impl StageState for Deconv3d {
 }
 
 impl Layer for Deconv3d {
+    /// Blocked lowering: the input row is transposed once to `Xᵀ`
+    /// (`[in_volume, cin]`), so each block of input positions is a
+    /// contiguous row band. Per block, the columns `Xᵀ·W` run through the
+    /// packed-panel [`gemm`](kernels::gemm) into the thread's lowering
+    /// scratch and are folded onto the output before the next block starts.
+    /// Blocks keep the whole layer's SIMD/scalar path.
     fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
         let batch = input.shape()[0];
         let pin = self.in_dims.volume();
@@ -1099,23 +1218,29 @@ impl Layer for Deconv3d {
             self.cin * pin,
             "Deconv3d: input feature mismatch"
         );
-        let vol = self.out_dims.volume();
-        let cokk = self.patch_len();
+        let (cin, vol, cokk) = (self.cin, self.out_dims.volume(), self.patch_len());
         let mut out = Tensor::zeros(vec![batch, self.cout * vol]);
-        // Column scratch, allocated once and reused for every batch item.
-        let mut col = vec![0.0; pin * cokk];
-        for b in 0..batch {
-            let xrow = input.row(b);
-            // col[p, j] = Σ_ci x[ci, p] · W[ci, j] — the input row is
-            // [cin, Pin] row-major and weights are [cin, cout*k³], so this is
-            // the transposed-A GEMM.
-            kernels::gemm_transa(pin, cokk, self.cin, 1.0, xrow, &self.weights, 0.0, &mut col);
-            let orow = out.row_mut(b);
-            for co in 0..self.cout {
-                orow[co * vol..(co + 1) * vol].fill(self.bias[co]);
+        let blocks = self.lowering_blocks();
+        let span = pin.div_ceil(blocks);
+        with_lowering_scratch(pin * cin + span * cokk, |scratch| {
+            let (xt, col) = scratch.split_at_mut(pin * cin);
+            for b in 0..batch {
+                kernels::transpose_into(cin, pin, input.row(b), xt);
+                let orow = out.row_mut(b);
+                for (o, &bias) in orow.chunks_exact_mut(vol).zip(&self.bias) {
+                    o.fill(bias);
+                }
+                for blk in 0..blocks {
+                    let r = block_range(pin, blocks, blk);
+                    let col = &mut col[..r.len() * cokk];
+                    // col[p, j] = Σ_ci Xᵀ[p, ci] · W[ci, j]: weights are
+                    // [cin, cout*k³] row-major, so this is the plain GEMM.
+                    let xt_band = &xt[r.start * cin..r.end * cin];
+                    kernels::gemm(r.len(), cokk, cin, 1.0, xt_band, &self.weights, 0.0, col);
+                    self.col2out_add(col, r, orow);
+                }
             }
-            self.col2out_add(&col, orow);
-        }
+        });
         self.cached_input = Some(input.clone());
         out
     }
@@ -1370,6 +1495,21 @@ mod tests {
     fn conv_rejects_oversized_kernel() {
         let mut init = Initializer::new(0);
         let _ = Conv3d::new(1, 1, 5, 1, 0, Dims3::new(3, 3, 3), &mut init);
+    }
+
+    /// `(1 - 1)·1 + 1 - 2·1` underflows: the padding trims the whole output.
+    #[test]
+    #[should_panic(expected = "deconv output is empty")]
+    fn deconv_rejects_padding_that_trims_the_whole_output() {
+        let mut init = Initializer::new(0);
+        let _ = Deconv3d::new(1, 1, 1, 1, 1, Dims3::new(1, 1, 1), &mut init);
+    }
+
+    #[test]
+    #[should_panic(expected = "deconv output is empty")]
+    fn deconv_rejects_zero_extent() {
+        let mut init = Initializer::new(0);
+        let _ = Deconv3d::new(1, 1, 3, 2, 0, Dims3::new(2, 0, 2), &mut init);
     }
 
     use sensact_math::rng::StdRng;
@@ -1653,6 +1793,141 @@ mod tests {
                     (a - b).abs() <= 1e-12,
                     "deconv mismatch: {a} vs {b} (k={kernel} s={stride} p={pad})"
                 );
+            }
+        }
+    }
+
+    /// One im2col over the whole row and one `gemm_transb`: the unblocked
+    /// lowering the blocked forward must reproduce bit for bit.
+    fn one_shot_conv(c: &Conv3d, x: &Tensor) -> Vec<f64> {
+        let (vol, ckk) = (c.out_dims.volume(), c.patch_len());
+        let mut col = vec![0.0; vol * ckk];
+        let mut out = Vec::new();
+        for b in 0..x.shape()[0] {
+            c.im2col(x.row(b), 0..vol, &mut col);
+            let mut orow: Vec<f64> = c.bias.iter().flat_map(|&v| vec![v; vol]).collect();
+            kernels::gemm_transb(c.cout, vol, ckk, 1.0, &c.weights, &col, 1.0, &mut orow);
+            out.extend(orow);
+        }
+        out
+    }
+
+    fn assert_bitwise(a: &[f64], b: &[f64], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}: length");
+        assert!(
+            a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()),
+            "{what}: blocked lowering is not bitwise equal to the one-shot lowering"
+        );
+    }
+
+    fn assert_within_1e12(fast: &Tensor, reference: &Tensor, what: &str) {
+        assert_eq!(fast.shape(), reference.shape(), "{what}: shape");
+        for (a, b) in fast.as_slice().iter().zip(reference.as_slice()) {
+            assert!((a - b).abs() <= 1e-12, "{what}: {a} vs {b}");
+        }
+    }
+
+    /// Blocked conv lowering ≡ one-shot im2col + `gemm_transb` (bitwise),
+    /// and ≤ 1e-12 from the gather reference.
+    fn check_conv(c: &mut Conv3d, x: &Tensor, what: &str) -> Tensor {
+        let y = c.forward(x, false);
+        assert_bitwise(y.as_slice(), &one_shot_conv(c, x), what);
+        assert_within_1e12(&y, &c.forward_reference(x), what);
+        y
+    }
+
+    /// The four R-MAE layers at `RmaeConfig::full()` (a 60×36×4 grid,
+    /// channels (8, 16), built like `RmaeModel::new`), chained on one
+    /// sparse occupancy grid: every layer is within 1e-12 of its reference
+    /// and both convs are bitwise equal to the unblocked lowering.
+    #[test]
+    fn rmae_full_shapes_match_reference_and_one_shot_lowering() {
+        let mut rng = StdRng::seed_from_u64(0x4A3E);
+        let mut init = Initializer::new(0xF011);
+        let dims = Dims3::new(4, 36, 60);
+        let mut conv1 = Conv3d::new(1, 8, 3, 2, 1, dims, &mut init);
+        let mid = conv1.out_dims();
+        let mut conv2 = Conv3d::new(8, 16, 3, 1, 1, mid, &mut init);
+        let mut deconv1 = Deconv3d::new(16, 8, 3, 1, 1, mid, &mut init);
+        let mut deconv2 = Deconv3d::new(8, 1, 4, 2, 1, mid, &mut init);
+        assert_eq!(deconv2.out_dims(), dims);
+        for bias in [
+            &mut conv1.bias,
+            &mut conv2.bias,
+            &mut deconv1.bias,
+            &mut deconv2.bias,
+        ] {
+            bias.iter_mut()
+                .for_each(|b| *b = rng.random_range(-0.5..0.5));
+        }
+        // The shapes really are split into several blocks.
+        assert!(conv2.lowering_blocks() > 1 && deconv1.lowering_blocks() > 1);
+        let x = sparse_input(&mut rng, 1, dims.volume());
+        let h1 = check_conv(&mut conv1, &x, "rmae conv1");
+        let h2 = check_conv(&mut conv2, &h1, "rmae conv2");
+        let h3 = deconv1.forward(&h2, false);
+        assert_within_1e12(&h3, &deconv1.forward_reference(&h2), "rmae deconv1");
+        let h4 = deconv2.forward(&h3, false);
+        assert_within_1e12(&h4, &deconv2.forward_reference(&h3), "rmae deconv2");
+    }
+
+    /// The served lidar shape (1→4, k3 s2 over 8³) and a shape whose final
+    /// block is ragged lower bitwise like the one-shot path.
+    #[test]
+    fn blocked_conv_is_one_shot_bitwise_at_served_and_ragged_shapes() {
+        let mut rng = StdRng::seed_from_u64(0x4A3F);
+        let mut init = Initializer::new(0xF012);
+        let mut served = Conv3d::new(1, 4, 3, 2, 1, Dims3::new(8, 8, 8), &mut init);
+        let x = sparse_input(&mut rng, 3, served.in_features());
+        check_conv(&mut served, &x, "served lidar conv");
+
+        let mut ragged = Conv3d::new(3, 5, 3, 1, 1, Dims3::new(5, 7, 11), &mut init);
+        let (vol, blocks) = (ragged.out_dims.volume(), ragged.lowering_blocks());
+        assert!(
+            blocks > 1 && vol % blocks != 0,
+            "{vol} positions in {blocks} blocks"
+        );
+        let x = sparse_input(&mut rng, 2, ragged.in_features());
+        check_conv(&mut ragged, &x, "ragged conv");
+
+        // A wide patch with one output channel: block sizes from the L2
+        // budget alone would fall under the SIMD gate, so the count must
+        // shrink to keep the whole layer's kernel path.
+        let mut wide = Conv3d::new(64, 1, 3, 1, 1, Dims3::new(4, 4, 4), &mut init);
+        let x = sparse_input(&mut rng, 1, wide.in_features());
+        check_conv(&mut wide, &x, "wide-patch conv");
+        let mut dwide = Deconv3d::new(1, 64, 3, 1, 1, Dims3::new(4, 4, 4), &mut init);
+        let x = sparse_input(&mut rng, 1, 64);
+        assert_within_1e12(
+            &dwide.forward(&x, false),
+            &dwide.forward_reference(&x),
+            "wide deconv",
+        );
+    }
+
+    #[test]
+    fn lowering_blocks_tile_positions_and_keep_the_kernel_path() {
+        for &(len, patch, m) in &[
+            (64usize, 1728usize, 1usize),
+            (1080, 216, 16),
+            (385, 81, 5),
+            (7, 5000, 1),
+        ] {
+            let eligible = |n: usize| simd::simd_f64_eligible(m, n, patch);
+            let blocks = lowering_blocks(len, patch, eligible);
+            assert_eq!(block_range(len, blocks, 0).start, 0);
+            assert_eq!(block_range(len, blocks, blocks - 1).end, len);
+            for b in 0..blocks {
+                let r = block_range(len, blocks, b);
+                assert!(!r.is_empty());
+                assert_eq!(
+                    eligible(r.len()),
+                    eligible(len),
+                    "len {len} patch {patch} block {b}"
+                );
+                if b + 1 < blocks {
+                    assert_eq!(r.end, block_range(len, blocks, b + 1).start);
+                }
             }
         }
     }

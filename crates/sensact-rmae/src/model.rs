@@ -321,6 +321,9 @@ mod tests {
         assert_eq!(c.voxels(), 256);
         let f = RmaeConfig::full();
         assert_eq!(f.grid.dims(), (60, 36, 4));
+        // sensact-nn's conv tests check the layers at exactly these shapes.
+        assert_eq!(f.dims3(), Dims3::new(4, 36, 60));
+        assert_eq!(f.channels, (8, 16));
     }
 
     #[test]

@@ -77,4 +77,23 @@ cargo run --offline --release -p sensact-bench --bin bench_serve -- --smoke
 echo "== serving bench smoke (forced-scalar path) =="
 SENSACT_FORCE_SCALAR=1 cargo run --offline --release -p sensact-bench --bin bench_serve -- --smoke
 
+# The repo benchmark exits 1 when its correctness checks fail (batched Acts
+# bitwise equal to per-loop replay, edge action/trust hash equal to the
+# untimed reference robot), so a short run of each gated workload is a gate.
+echo "== repo benchmark build =="
+cargo build --offline --release --quiet --manifest-path benchmark/Cargo.toml
+
+bench() {
+    cargo run --offline --release --quiet --manifest-path benchmark/Cargo.toml -- \
+        --workload "$1" --seed 1 --seconds 2 --trace 0 > /dev/null
+}
+
+echo "== repo benchmark smoke (serve-loopback + edge-lidar, host ISA) =="
+bench serve-loopback
+bench edge-lidar
+
+echo "== repo benchmark smoke (forced-scalar path) =="
+SENSACT_FORCE_SCALAR=1 bench serve-loopback
+SENSACT_FORCE_SCALAR=1 bench edge-lidar
+
 echo "CI gate passed."
