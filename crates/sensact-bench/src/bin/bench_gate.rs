@@ -2,7 +2,7 @@
 //! the exact shared workloads ([`sensact_bench::obsbench`]) and compare them
 //! against the committed baselines with a tolerance band.
 //!
-//! Three headline checks:
+//! Four headline checks:
 //!
 //! * `BENCH_obs.json` → `realistic.disabled_overhead_pct` — the paired
 //!   baseline-vs-disabled-tracer tick (the plane's always-on cost);
@@ -14,7 +14,11 @@
 //!   regression means batching stopped paying for itself). The two modes
 //!   are interleaved round-by-round so machine-load epochs cancel out of
 //!   the paired quotients; the p99 ratio is the tail headline, the median
-//!   cost ratio the tight (±1 pp) sustained-cost one.
+//!   cost ratio the tight (±1 pp) sustained-cost one;
+//! * `BENCH_kernels.json` → `serve_conv_row.direct_over_reference_pct` —
+//!   the served lidar conv's per-row production forward as a percentage of
+//!   its gather reference, timed in the same run, so a fall back to a slow
+//!   lowering fails on any host.
 //!
 //! Overheads are percentages of a microsecond-scale tick, so the band is
 //! absolute percentage points: a fresh measurement may exceed its committed
@@ -26,7 +30,7 @@
 //! `scripts/ci.sh` bench_gate step.
 
 use sensact_bench::obsbench::{paired_realistic, sched_overhead_case};
-use sensact_bench::servebench::serve_gate_headline;
+use sensact_bench::servebench::{serve_conv_row, serve_gate_headline};
 use sensact_core::Tracer;
 
 /// Extract the number following `"key":` — enough JSON for our own
@@ -135,6 +139,22 @@ fn main() {
         "serving batched/unbatched median",
         committed_median,
         fresh_median,
+        tol_pp,
+        &mut failures,
+    );
+
+    let kernels = std::fs::read_to_string(format!("{root}/BENCH_kernels.json"))
+        .expect("read BENCH_kernels.json at the repo root");
+    let conv_at = kernels
+        .find("\"serve_conv_row\"")
+        .expect("BENCH_kernels.json carries a serve_conv_row object");
+    let committed_conv = json_number(&kernels[conv_at..], "direct_over_reference_pct")
+        .expect("BENCH_kernels.json carries serve_conv_row.direct_over_reference_pct");
+    let fresh_conv = best_of_three(|| serve_conv_row(31).ratio_pct());
+    check(
+        "served conv direct/reference",
+        committed_conv,
+        fresh_conv,
         tol_pp,
         &mut failures,
     );

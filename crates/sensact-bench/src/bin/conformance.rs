@@ -23,13 +23,13 @@
 //! - `gemm_transa`/`matvec_into` vs. `gemm_naive` on explicitly transposed
 //!   operands, `beta = 0` — **bitwise**
 //! - `Conv3d::forward`/`Deconv3d::forward` vs. `forward_reference` —
-//!   max |Δ| ≤ 1e-12 (im2col reorders additions), ULP reported
-//! - `gemm_batched`/`gemm_transb_batched` vs. the per-item kernels over
-//!   seeded shapes *including ragged tail batches* — **bitwise** (the
-//!   batched kernels pin dispatch on the per-item shape)
+//!   max |Δ| ≤ 1e-12 (FMA and the GEMM lowering change rounding), ULP
+//!   reported
 //! - `Conv3d::forward_batch` vs. the per-row forward — **bitwise** at f64
-//!   for every batch size; f32/int8 batched outputs stay within their
-//!   analytic precision tiers of the f64 per-row reference
+//!   for every batch size (served shape up to batch 64, plus a shape with
+//!   ragged channel groups and position tiles); f32/int8 batched outputs
+//!   stay within their analytic precision tiers of the f64 per-row
+//!   reference
 //! - `Lidar::scan`/`scan_serial` vs. `scan_reference` — **bitwise**
 //! - fake-quantize grid invariants (on-grid, idempotent, half-step error
 //!   bound, poisoned-buffer saturation) over seeded buffers
@@ -414,7 +414,7 @@ fn conv_pairs(smoke: bool, pairs: &mut Vec<Pair>) {
         d_cases += 1;
     }
     pairs.push(Pair::check(
-        "conv3d_im2col_vs_reference",
+        "conv3d_direct_vs_reference",
         c_cases,
         c_ulp,
         c_abs,
@@ -429,106 +429,6 @@ fn conv_pairs(smoke: bool, pairs: &mut Vec<Pair>) {
     ));
 }
 
-/// Batched GEMM vs. per-item dispatch: the serving front-end's cross-loop
-/// batching contract. Both batched kernels pin their internal dispatch on
-/// the PER-ITEM shape, so every slab must be bitwise identical to calling
-/// the per-item kernel on it — including ragged batch sizes that don't
-/// fill the register blocking.
-fn batched_gemm_pairs(smoke: bool, pairs: &mut Vec<Pair>) {
-    let batches: &[usize] = if smoke { &[1, 3] } else { &[1, 2, 3, 5, 8] };
-    let shapes: &[(usize, usize, usize)] = if smoke {
-        &[(4, 4, 8), (8, 16, 27)]
-    } else {
-        // Shapes straddle the SIMD eligibility threshold so both the
-        // vectorized and scalar per-item paths are exercised; k = 0 checks
-        // the pure beta-scaling edge.
-        &[(4, 4, 8), (3, 5, 7), (8, 16, 27), (16, 64, 27), (4, 4, 0)]
-    };
-    let params: &[(f64, f64)] = &[(1.0, 0.0), (1.0, 1.0), (-0.5, 0.75)];
-    let mut rng = StdRng::seed_from_u64(0xC0F0_0005);
-    let (mut b_ulp, mut b_abs, mut b_cases) = (0u64, 0.0f64, 0usize);
-    let (mut t_ulp, mut t_abs, mut t_cases) = (0u64, 0.0f64, 0usize);
-    for &batch in batches {
-        for &(m, n, k) in shapes {
-            let mut rand = |len: usize| -> Vec<f64> {
-                (0..len).map(|_| rng.random::<f64>() * 2.0 - 1.0).collect()
-            };
-            for &(alpha, beta) in params {
-                // Stacked-A form: per-item A slabs against one shared B.
-                let a_stack = rand(batch * m * k);
-                let b = rand(k * n);
-                let c0 = rand(batch * m * n);
-                let mut c_batched = c0.clone();
-                kernels::gemm_batched(batch, m, n, k, alpha, &a_stack, &b, beta, &mut c_batched);
-                let mut c_items = c0.clone();
-                for t in 0..batch {
-                    kernels::gemm(
-                        m,
-                        n,
-                        k,
-                        alpha,
-                        &a_stack[t * m * k..(t + 1) * m * k],
-                        &b,
-                        beta,
-                        &mut c_items[t * m * n..(t + 1) * m * n],
-                    );
-                }
-                b_ulp = b_ulp.max(max_ulp(&c_items, &c_batched));
-                b_abs = b_abs.max(max_abs_diff(&c_items, &c_batched));
-                b_cases += 1;
-
-                // Stacked-Bᵀ form (the im2col layout): shared A weights
-                // against per-item transposed panels.
-                let a = rand(m * k);
-                let bt_stack = rand(batch * n * k);
-                let c0 = rand(batch * m * n);
-                let mut c_batched = c0.clone();
-                kernels::gemm_transb_batched(
-                    batch,
-                    m,
-                    n,
-                    k,
-                    alpha,
-                    &a,
-                    &bt_stack,
-                    beta,
-                    &mut c_batched,
-                );
-                let mut c_items = c0.clone();
-                for t in 0..batch {
-                    kernels::gemm_transb(
-                        m,
-                        n,
-                        k,
-                        alpha,
-                        &a,
-                        &bt_stack[t * n * k..(t + 1) * n * k],
-                        beta,
-                        &mut c_items[t * m * n..(t + 1) * m * n],
-                    );
-                }
-                t_ulp = t_ulp.max(max_ulp(&c_items, &c_batched));
-                t_abs = t_abs.max(max_abs_diff(&c_items, &c_batched));
-                t_cases += 1;
-            }
-        }
-    }
-    pairs.push(Pair::check(
-        "gemm_batched_vs_per_item",
-        b_cases,
-        b_ulp,
-        b_abs,
-        0.0,
-    ));
-    pairs.push(Pair::check(
-        "gemm_transb_batched_vs_per_item",
-        t_cases,
-        t_ulp,
-        t_abs,
-        0.0,
-    ));
-}
-
 /// Batched conv forward vs. the per-row forward, per precision tier: f64
 /// bitwise for every batch size (ragged tails included); f32 and int8
 /// within analytic envelopes of the f64 per-row reference (the batched
@@ -536,13 +436,18 @@ fn batched_gemm_pairs(smoke: bool, pairs: &mut Vec<Pair>) {
 /// not bitwise — but their error stays inside the tier).
 fn batched_conv_pairs(smoke: bool, pairs: &mut Vec<Pair>) {
     // (cin, cout, kernel, stride, pad, edge); first entry is the serving
-    // front-end's LidarConv signature.
+    // front-end's LidarConv signature, last a ragged one (6 channels over
+    // the direct kernel's 4 lanes, 7³ positions over its 8-position tile).
     let configs: &[(usize, usize, usize, usize, usize, usize)] = if smoke {
         &[(1, 4, 3, 2, 1, 8)]
     } else {
-        &[(1, 4, 3, 2, 1, 8), (2, 3, 3, 1, 1, 5)]
+        &[(1, 4, 3, 2, 1, 8), (2, 3, 3, 1, 1, 5), (3, 6, 3, 1, 1, 7)]
     };
-    let batches: &[usize] = if smoke { &[1, 3] } else { &[1, 2, 3, 5] };
+    let batches: &[usize] = if smoke {
+        &[1, 3, 64]
+    } else {
+        &[1, 2, 3, 5, 33, 64]
+    };
     let mut rng = StdRng::seed_from_u64(0xC0F0_0006);
     let (mut f64_ulp, mut f64_abs, mut f64_cases) = (0u64, 0.0f64, 0usize);
     let (mut f32_ulp, mut f32_ratio, mut f32_cases) = (0u64, 0.0f64, 0usize);
@@ -967,7 +872,6 @@ fn main() {
     gemm_pairs(smoke, &mut pairs);
     precision_pairs(smoke, &mut pairs);
     conv_pairs(smoke, &mut pairs);
-    batched_gemm_pairs(smoke, &mut pairs);
     batched_conv_pairs(smoke, &mut pairs);
     raycast_pair(smoke, &mut pairs);
     quant_pair(smoke, &mut pairs);

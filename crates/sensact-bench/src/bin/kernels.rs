@@ -1,6 +1,7 @@
 //! Kernel micro-benchmarks: naive vs blocked vs parallel vs register-blocked
-//! SIMD GEMM (f64/f32/int8), im2col conv and deconv forwards, full raycast
-//! scan, and an end-to-end loop tick.
+//! SIMD GEMM (f64/f32/int8), direct conv (at a mid shape and the served
+//! lidar shape) and lowered deconv forwards, full raycast scan, and an
+//! end-to-end loop tick.
 //!
 //! Emits `BENCH_kernels.json` (tagged with the host ISA) in the working
 //! directory so later PRs have a perf trajectory, and verifies on the way
@@ -13,6 +14,7 @@
 //! fallbacks on a SIMD host.
 
 use sensact_bench::harness::Harness;
+use sensact_bench::servebench::serve_conv_row;
 use sensact_core::stage::{FnController, FnPerceptor, FnSensor, StageContext, Trust};
 use sensact_core::LoopBuilder;
 use sensact_lidar::raycast::{Lidar, LidarConfig};
@@ -113,7 +115,7 @@ fn main() {
         bch.iter(|| kernels::gemm_int8(n, n, n, black_box(&a), &b, &mut c_int8))
     });
 
-    // --- Conv3d forward: gather-loop reference vs im2col+GEMM ------------
+    // --- Conv3d forward: gather-loop reference vs the direct kernel ------
     let mut init = Initializer::new(7);
     let mut conv = Conv3d::new(4, 8, 3, 1, 1, Dims3::new(10, 10, 10), &mut init);
     let xlen = 4 * 10 * 10 * 10;
@@ -127,9 +129,23 @@ fn main() {
     h.bench_function("conv3d_forward_reference/4x8x10^3", |bch| {
         bch.iter(|| black_box(conv.forward_reference(black_box(&input))))
     });
-    h.bench_function("conv3d_forward_im2col/4x8x10^3", |bch| {
+    h.bench_function("conv3d_forward_direct/4x8x10^3", |bch| {
         bch.iter(|| black_box(conv.forward(black_box(&input), false)))
     });
+
+    // --- Served lidar conv: direct kernel vs gather reference, per row ----
+    let conv_row = serve_conv_row(if sensact_bench::quick() { 15 } else { 101 });
+    assert!(
+        conv_row.max_abs_diff <= 1e-12,
+        "served conv diverged: {:e}",
+        conv_row.max_abs_diff
+    );
+    println!(
+        "serve_conv_row: direct {:.0} ns, reference {:.0} ns ({:.2} %)",
+        conv_row.direct_ns,
+        conv_row.reference_ns,
+        conv_row.ratio_pct()
+    );
 
     // --- Deconv3d forward: scatter reference vs blocked GEMM lowering ----
     // R-MAE's first decoder layer: 16→8 channels, k3 s1 over its 2×18×30
@@ -207,7 +223,7 @@ fn main() {
     let gemm_f32 = mean("gemm_f32/256");
     let gemm_int8 = mean("gemm_int8/256");
     let conv_ref = mean("conv3d_forward_reference/4x8x10^3");
-    let conv_fast = mean("conv3d_forward_im2col/4x8x10^3");
+    let conv_fast = mean("conv3d_forward_direct/4x8x10^3");
     let deconv_ref = mean("deconv3d_forward_reference/16x8x2x18x30");
     let deconv_fast = mean("deconv3d_forward_lowered/16x8x2x18x30");
     let ray_naive = mean("raycast_naive/64x512");
@@ -236,9 +252,14 @@ fn main() {
            \"int8_max_abs_diff\": {int8_diff:e}\n  }},\n  \
          \"conv3d_forward\": {{\n    \
            \"reference_ns\": {conv_ref:.0},\n    \
-           \"im2col_ns\": {conv_fast:.0},\n    \
+           \"direct_ns\": {conv_fast:.0},\n    \
            \"speedup\": {:.2},\n    \
            \"max_abs_diff\": {conv_diff:e}\n  }},\n  \
+         \"serve_conv_row\": {{\n    \
+           \"direct_ns\": {:.0},\n    \
+           \"reference_ns\": {:.0},\n    \
+           \"direct_over_reference_pct\": {:.2},\n    \
+           \"max_abs_diff\": {:e}\n  }},\n  \
          \"deconv3d_forward\": {{\n    \
            \"reference_ns\": {deconv_ref:.0},\n    \
            \"lowered_ns\": {deconv_fast:.0},\n    \
@@ -258,6 +279,10 @@ fn main() {
         gemm_simd / gemm_f32,
         gemm_simd / gemm_int8,
         conv_ref / conv_fast,
+        conv_row.direct_ns,
+        conv_row.reference_ns,
+        conv_row.ratio_pct(),
+        conv_row.max_abs_diff,
         deconv_ref / deconv_fast,
         ray_naive / ray_bucketed,
         ray_naive / ray_parallel,

@@ -247,3 +247,76 @@ pub fn serve_gate_headline(fleet: usize, rounds: usize, repeats: usize) -> (f64,
     };
     (med_of(p99s), med_of(meds))
 }
+
+/// The served lidar conv (1→4 channels, k3 s2 over 8³) timed per row.
+#[derive(Debug, Clone, Copy)]
+pub struct ConvRowTiming {
+    /// Median ns per row of the production forward (`forward_batch` on one
+    /// row — the serving `forward_one` path).
+    pub direct_ns: f64,
+    /// Median ns per row of the gather-formulation `forward_reference`.
+    pub reference_ns: f64,
+    /// Largest |Δ| between the two over the timed rows.
+    pub max_abs_diff: f64,
+}
+
+impl ConvRowTiming {
+    /// Production cost as a percentage of the reference. Both sides run in
+    /// the same epoch, so host speed cancels out of the quotient.
+    pub fn ratio_pct(&self) -> f64 {
+        100.0 * self.direct_ns / self.reference_ns
+    }
+}
+
+/// Time the served conv's production forward against its reference on 16
+/// seeded occupancy grids (20% occupied, like the served traffic),
+/// alternating the two sides for `rounds` rounds; each side's figure is the
+/// median round.
+pub fn serve_conv_row(rounds: usize) -> ConvRowTiming {
+    use sensact_math::rng::StdRng;
+    use sensact_nn::conv::{Conv3d, Dims3};
+    use sensact_nn::init::Initializer;
+    use sensact_nn::Tensor;
+    use std::hint::black_box;
+
+    let mut conv = Conv3d::new(1, 4, 3, 2, 1, Dims3::new(8, 8, 8), &mut Initializer::new(5));
+    let mut rng = StdRng::seed_from_u64(0x5E2C);
+    let rows: Vec<Tensor> = (0..16)
+        .map(|_| {
+            let grid = (0..512).map(|_| f64::from(u8::from(rng.gen_f64() < 0.2)));
+            Tensor::from_vec(vec![1, 512], grid.collect())
+        })
+        .collect();
+    let mut out = vec![0.0; conv.out_features()];
+    let mut max_abs_diff = 0.0f64;
+    for row in &rows {
+        conv.forward_batch(&[row.as_slice()], &mut out);
+        let reference = conv.forward_reference(row);
+        for (a, b) in out.iter().zip(reference.as_slice()) {
+            max_abs_diff = max_abs_diff.max((a - b).abs());
+        }
+    }
+    // Per round, each row is timed on both sides back to back, so a burst
+    // of host load lands on both sides of the round's ratio.
+    let (mut direct, mut reference) = (Vec::new(), Vec::new());
+    for _ in 0..rounds.max(1) {
+        let (mut d_ns, mut r_ns) = (0.0, 0.0);
+        for row in &rows {
+            let t = Instant::now();
+            for _ in 0..8 {
+                conv.forward_batch(&[black_box(row.as_slice())], &mut out);
+            }
+            d_ns += t.elapsed().as_nanos() as f64 / 8.0;
+            let t = Instant::now();
+            black_box(conv.forward_reference(black_box(row)));
+            r_ns += t.elapsed().as_nanos() as f64;
+        }
+        direct.push(d_ns / rows.len() as f64);
+        reference.push(r_ns / rows.len() as f64);
+    }
+    ConvRowTiming {
+        direct_ns: median_tick_us(direct),
+        reference_ns: median_tick_us(reference),
+        max_abs_diff,
+    }
+}

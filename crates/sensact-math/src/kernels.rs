@@ -322,222 +322,6 @@ pub fn gemm_transb(
     });
 }
 
-/// Batched GEMM over a shared right-hand side: `C_t = alpha * A_t * B +
-/// beta * C_t` for `batch` items whose `A_t` (`[m×k]`) and `C_t` (`[m×n]`)
-/// are stacked contiguously in `a_stack` / `c_stack`.
-///
-/// This is the fleet-serving entry point: N loops that share a weight
-/// matrix lower their per-tick products onto **one** kernel invocation, so
-/// dispatch overhead, feature detection, thread spawning and B-panel cache
-/// misses are amortized across the batch instead of paid per loop.
-///
-/// Numerics contract (the serving plane's batched-equals-unbatched
-/// guarantee): the kernel path is pinned on the **per-item** shape via the
-/// same predicate the scalar entry points use, never on the stacked shape.
-/// A batch of problems too small for the SIMD path runs the scalar blocked
-/// kernel — whose per-element accumulation order is independent of row
-/// partitioning — so the result is **bitwise identical** to calling
-/// [`gemm`] once per item, on every host and under `SENSACT_FORCE_SCALAR`.
-pub fn gemm_batched(
-    batch: usize,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a_stack: &[f64],
-    b: &[f64],
-    beta: f64,
-    c_stack: &mut [f64],
-) {
-    assert_eq!(
-        a_stack.len(),
-        batch * m * k,
-        "gemm_batched: A must be batch*m*k"
-    );
-    assert_eq!(b.len(), k * n, "gemm_batched: B must be k*n");
-    assert_eq!(
-        c_stack.len(),
-        batch * m * n,
-        "gemm_batched: C must be batch*m*n"
-    );
-    if batch == 0 {
-        return;
-    }
-    // Stacking along m preserves per-element accumulation on both paths:
-    // SIMD bands are m-partitioned (per-element order independent of the
-    // band split) and the scalar blocked kernel accumulates each row
-    // independently. Only the *path choice* must come from the item shape.
-    if crate::simd::simd_f64_eligible(m, n, k)
-        && crate::simd::gemm_f64(
-            batch * m,
-            n,
-            k,
-            alpha,
-            a_stack,
-            b,
-            beta,
-            c_stack,
-            crate::simd::BLayout::RowMajor,
-        )
-    {
-        return;
-    }
-    gemm_parallel(batch * m, n, k, alpha, a_stack, b, beta, c_stack);
-}
-
-/// Batched `gemm_transb` over a shared left-hand side: `C_t = alpha * A *
-/// B_t^T + beta * C_t` for `batch` items whose `B_t` (`[n×k]` row-major,
-/// the transposed layout) and `C_t` (`[m×n]`) are stacked contiguously.
-///
-/// This is the shape the batched conv path feeds: one weight matrix `A`
-/// (`[cout×ckk]`) against N loops' im2col panels. The stacked `B` is a
-/// single `[(batch·n)×k]` operand, so the whole fleet's patches run through
-/// one packed-panel SIMD invocation; `C` is gathered into the stacked
-/// column layout before the call and scattered back after, so the
-/// microkernel seeds its accumulators with exactly the per-item `beta * C`
-/// values (the conv path pre-fills `C` with the bias at `beta == 1`).
-///
-/// Same pinning contract as [`gemm_batched`]: the path is chosen from the
-/// per-item `(m, n, k)`, and the scalar fallback simply loops
-/// [`gemm_transb`] per item — bitwise identical to unbatched dispatch by
-/// construction.
-pub fn gemm_transb_batched(
-    batch: usize,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a: &[f64],
-    b_stack: &[f64],
-    beta: f64,
-    c_stack: &mut [f64],
-) {
-    assert_eq!(a.len(), m * k, "gemm_transb_batched: A must be m*k");
-    assert_eq!(
-        b_stack.len(),
-        batch * n * k,
-        "gemm_transb_batched: B must be batch*n*k"
-    );
-    assert_eq!(
-        c_stack.len(),
-        batch * m * n,
-        "gemm_transb_batched: C must be batch*m*n"
-    );
-    match batch {
-        0 => return,
-        1 => return gemm_transb(m, n, k, alpha, a, b_stack, beta, c_stack),
-        _ => {}
-    }
-    if crate::simd::simd_f64_eligible(m, n, k) {
-        thread_local! {
-            /// Per-thread gather panel, reused across flushes so a large
-            /// fleet's batched dispatch does not re-allocate (and re-fault)
-            /// a multi-megabyte panel every call.
-            static GATHER: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
-        }
-        let nn = batch * n;
-        // Gather the stacked per-item C blocks into one [m × batch·n]
-        // panel so each microkernel accumulator starts from the same value
-        // the per-item call would load.
-        let done = GATHER.with(|panel| {
-            let mut panel = panel.borrow_mut();
-            if panel.len() < m * nn {
-                panel.resize(m * nn, 0.0);
-            }
-            let big = &mut panel[..m * nn];
-            for t in 0..batch {
-                for i in 0..m {
-                    big[i * nn + t * n..i * nn + t * n + n]
-                        .copy_from_slice(&c_stack[t * m * n + i * n..t * m * n + (i + 1) * n]);
-                }
-            }
-            if gemm_transb_gathered(batch, m, n, k, alpha, a, b_stack, beta, big) {
-                for t in 0..batch {
-                    for i in 0..m {
-                        c_stack[t * m * n + i * n..t * m * n + (i + 1) * n]
-                            .copy_from_slice(&big[i * nn + t * n..i * nn + t * n + n]);
-                    }
-                }
-                true
-            } else {
-                false
-            }
-        });
-        if done {
-            return;
-        }
-    }
-    if m == 0 || n == 0 {
-        return; // C is empty; nothing to scale or accumulate.
-    }
-    if k == 0 {
-        // Per-item `gemm_transb` scales C and accumulates an empty dot
-        // product (`c += 0.0`); mirror both steps exactly.
-        scale_c(beta, c_stack);
-        for x in c_stack.iter_mut() {
-            *x += 0.0;
-        }
-        return;
-    }
-    // Scalar path: per-item dispatch is already scalar at this shape, so
-    // looping the unbatched entry is the pinned path by definition.
-    for (b_t, c_t) in b_stack.chunks(n * k).zip(c_stack.chunks_mut(m * n)) {
-        gemm_transb(m, n, k, alpha, a, b_t, beta, c_t);
-    }
-}
-
-/// Copy-free core of [`gemm_transb_batched`]: the caller supplies `big`
-/// already in the gathered `[m × batch·n]` layout (item `t` occupies
-/// columns `t·n..(t+1)·n`, e.g. pre-filled with a bias for `beta == 1`)
-/// and keeps the result in that layout — no gather before the call, no
-/// scatter after it.
-///
-/// Returns `true` if the wide SIMD invocation ran. Returns `false` — with
-/// `big` untouched — when the per-item shape is pinned to the scalar path
-/// (or `batch < 2`): the caller must then run the per-item
-/// [`gemm_transb`] loop itself on its natural layout, which is exactly
-/// what makes the scalar fallback copy-free too. Each output element is a
-/// single dot product accumulated in ascending-`k` order regardless of
-/// its column position, so the wide call is **bitwise identical** to the
-/// per-item call for every batch size.
-pub fn gemm_transb_gathered(
-    batch: usize,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a: &[f64],
-    b_stack: &[f64],
-    beta: f64,
-    big: &mut [f64],
-) -> bool {
-    assert_eq!(a.len(), m * k, "gemm_transb_gathered: A must be m*k");
-    assert_eq!(
-        b_stack.len(),
-        batch * n * k,
-        "gemm_transb_gathered: B must be batch*n*k"
-    );
-    assert_eq!(
-        big.len(),
-        m * batch * n,
-        "gemm_transb_gathered: C must be m * batch*n"
-    );
-    if batch < 2 || !crate::simd::simd_f64_eligible(m, n, k) {
-        return false;
-    }
-    crate::simd::gemm_f64(
-        m,
-        batch * n,
-        k,
-        alpha,
-        a,
-        b_stack,
-        beta,
-        big,
-        crate::simd::BLayout::Transposed,
-    )
-}
-
 /// `C = alpha * A^T * B + beta * C`, with `a` stored row-major as `[k×m]`
 /// (i.e. A-transposed is never materialised).
 ///
@@ -1235,88 +1019,6 @@ mod tests {
                 "transa mismatch at {m}x{n}x{k}"
             );
         }
-    }
-
-    /// The serving plane's core numeric guarantee: batching loops that
-    /// share an operand must not change a single bit of any loop's output.
-    /// Shapes straddle the SIMD dispatch threshold — the middle cases are
-    /// exactly the trap where a naive implementation would let the *stacked*
-    /// size pull small per-item problems onto the FMA path.
-    #[test]
-    fn batched_entries_are_bitwise_identical_to_per_item_dispatch() {
-        // (batch, m, n, k): per-item ops span ~16 .. ~200k around the
-        // 2^14 SIMD threshold; batches include 1, odd, and large-enough-to
-        // -cross-the-threshold-when-stacked counts (the ragged-tail shapes
-        // the conv planner produces).
-        const CASES: &[(usize, usize, usize, usize)] = &[
-            (1, 4, 4, 4),
-            (3, 1, 1, 1),
-            (32, 4, 16, 16), // 1k ops/item, 32k stacked: must stay scalar
-            (7, 4, 64, 27),  // conv-like small lidar shape
-            (5, 8, 64, 32),  // 16k ops/item: exactly at the SIMD threshold
-            (3, 16, 64, 32), // comfortably SIMD per item
-            (2, 32, 32, 32),
-            (17, 6, 50, 13), // ragged: m not a multiple of any tile height
-            (4, 5, 0, 9),    // n == 0: pure beta semantics
-            (4, 5, 9, 0),    // k == 0: scale + empty accumulation
-        ];
-        let mut rng = StdRng::seed_from_u64(0xBA7C);
-        for &(batch, m, n, k) in CASES {
-            for &beta in &[0.0, 1.0, 0.5] {
-                // Shared-B form: stacked A against one B.
-                let a_stack = random_mat(&mut rng, batch * m * k);
-                let b = random_mat(&mut rng, k * n);
-                let base = random_mat(&mut rng, batch * m * n);
-
-                let mut c_ref = base.clone();
-                for t in 0..batch {
-                    let a_t = &a_stack[t * m * k..(t + 1) * m * k];
-                    let c_t = &mut c_ref[t * m * n..(t + 1) * m * n];
-                    gemm(m, n, k, 0.7, a_t, &b, beta, c_t);
-                }
-                let mut c_bat = base.clone();
-                gemm_batched(batch, m, n, k, 0.7, &a_stack, &b, beta, &mut c_bat);
-                assert!(
-                    c_ref
-                        .iter()
-                        .zip(&c_bat)
-                        .all(|(x, y)| x.to_bits() == y.to_bits()),
-                    "gemm_batched not bitwise at batch={batch} {m}x{n}x{k} beta={beta}"
-                );
-
-                // Shared-A form: one A against stacked transposed B.
-                let a = random_mat(&mut rng, m * k);
-                let b_stack = random_mat(&mut rng, batch * n * k);
-                let mut ct_ref = base.clone();
-                for t in 0..batch {
-                    let b_t = &b_stack[t * n * k..(t + 1) * n * k];
-                    let c_t = &mut ct_ref[t * m * n..(t + 1) * m * n];
-                    gemm_transb(m, n, k, 0.7, &a, b_t, beta, c_t);
-                }
-                let mut ct_bat = base.clone();
-                gemm_transb_batched(batch, m, n, k, 0.7, &a, &b_stack, beta, &mut ct_bat);
-                assert!(
-                    ct_ref
-                        .iter()
-                        .zip(&ct_bat)
-                        .all(|(x, y)| x.to_bits() == y.to_bits()),
-                    "gemm_transb_batched not bitwise at batch={batch} {m}x{n}x{k} beta={beta}"
-                );
-            }
-        }
-    }
-
-    /// Degenerate batch counts: zero items must be a no-op (not a panic),
-    /// and a single item must defer to the unbatched entry.
-    #[test]
-    fn batched_entries_handle_empty_batches() {
-        gemm_batched(0, 3, 4, 5, 1.0, &[], &[0.0; 20], 0.0, &mut []);
-        gemm_transb_batched(0, 3, 4, 5, 1.0, &[0.0; 15], &[], 0.0, &mut []);
-        let a = [1.0, 2.0];
-        let b = [3.0, 4.0];
-        let mut c1 = [f64::NAN];
-        gemm_transb_batched(1, 1, 1, 2, 1.0, &a, &b, 0.0, &mut c1);
-        assert_eq!(c1[0], 11.0);
     }
 
     #[test]

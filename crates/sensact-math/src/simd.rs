@@ -25,6 +25,10 @@
 //!   `SENSACT_FORCE_SCALAR` environment variable (satisfied by any value
 //!   other than `0`/empty).
 //!
+//! [`conv3d_direct`] is the direct 3-D convolution behind `sensact_nn`'s
+//! f64 conv inference: an AVX2+FMA tile of 4 output channels × 8 positions,
+//! or its scalar twin (multiply then add, same tap order) everywhere else.
+//!
 //! The int8 quantized path shares the symmetric max-abs/127 grid of
 //! `sensact_nn`'s `fake_quantize` and accumulates exactly in 32-bit integers
 //! (`_mm256_madd_epi16` under AVX2), so its only error is the quantization
@@ -106,12 +110,9 @@ pub fn cpu_features() -> &'static CpuFeatures {
 }
 
 /// Whether an f64 GEMM of this shape takes a SIMD path on this host — the
-/// exact gate the f64 GEMM entry points apply. The batched kernels pin
-/// their dispatch on the *per-item* shape through this predicate so a stack
-/// of small problems never crosses onto a different rounding path than the
-/// same problems dispatched one at a time; the blocked conv lowering in
-/// `sensact_nn` pins its per-block calls to the whole layer's choice the
-/// same way.
+/// exact gate the f64 GEMM entry points apply. The blocked deconv lowering
+/// in `sensact_nn` pins its per-block calls to the whole layer's choice
+/// through this predicate, so blocking never changes an element's rounding.
 pub fn simd_f64_eligible(m: usize, n: usize, k: usize) -> bool {
     let ops = m.saturating_mul(n).saturating_mul(k);
     cpu_features().simd_f64() && n != 0 && k != 0 && ops >= SIMD_MIN_OPS
@@ -310,9 +311,9 @@ fn pack_a_panel<const MR: usize>(
 
 thread_local! {
     /// Per-thread packing scratch (B panels, A panel). Reused across GEMM
-    /// dispatches: small serving-sized calls would otherwise spend more on
-    /// allocating (and, for wide batched panels, page-faulting) the packing
-    /// buffers than on the arithmetic itself.
+    /// dispatches: small calls would otherwise spend more on allocating
+    /// (and, for wide panels, page-faulting) the packing buffers than on
+    /// the arithmetic itself.
     static PACK_F64: std::cell::RefCell<(Vec<f64>, Vec<f64>)> =
         const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
 }
@@ -614,6 +615,210 @@ unsafe fn kernel_6x16_f32_fma(kc: usize, ap: *const f32, bp: *const f32, c: *mut
 }
 
 // ---------------------------------------------------------------------------
+// Direct convolution
+// ---------------------------------------------------------------------------
+
+/// Output channels per vector of the direct-conv tile (one YMM of f64).
+/// [`conv3d_direct`] takes its weights packed in groups of this many.
+pub const CONV_LANES: usize = 4;
+
+/// Output positions per direct-conv tile: 8 YMM accumulators, enough
+/// independent FMA chains to cover the FMA latency.
+const CONV_POS: usize = 8;
+
+/// Direct ("implicit-GEMM") 3-D convolution of one row over an input that
+/// needs no bounds tests (zero padding already materialised).
+///
+/// - `input`: the padded input row;
+/// - `taps`: offset in `input` of each kernel tap from an output position's
+///   origin, in reduction order;
+/// - `grid`: `(extent, step)` of the output positions along z, y and x —
+///   position `(z, y, x)` has its origin at `z·step_z + y·step_y + x·step_x`;
+/// - `weights`: packed `[cout.div_ceil(CONV_LANES)][taps.len()][CONV_LANES]`,
+///   lanes past `cout` zero;
+/// - `bias`: one per output channel (`cout = bias.len()`);
+/// - `out`: `[cout × positions]`, fully overwritten.
+///
+/// Every output element starts at its bias and takes one multiply-add per
+/// tap, in `taps` order: fused (one rounding) on AVX2+FMA hosts, a multiply
+/// then an add on every other host and under `SENSACT_FORCE_SCALAR`. Its
+/// bits depend only on that path and its own operands — never on the
+/// position tile or channel group it lands in, nor on how many rows the
+/// caller runs — so batched callers are bitwise equal to per-row ones.
+///
+/// # Panics
+///
+/// Panics if the slice lengths disagree or a tap would read past `input`.
+pub fn conv3d_direct(
+    input: &[f64],
+    taps: &[usize],
+    grid: [(usize, usize); 3],
+    weights: &[f64],
+    bias: &[f64],
+    out: &mut [f64],
+) {
+    let vol: usize = grid.iter().map(|g| g.0).product();
+    let cout = bias.len();
+    let group_len = taps.len() * CONV_LANES;
+    assert_eq!(
+        weights.len(),
+        cout.div_ceil(CONV_LANES) * group_len,
+        "conv3d_direct: weights must be packed [cout/4][taps][4]"
+    );
+    assert_eq!(out.len(), cout * vol, "conv3d_direct: out must be cout*vol");
+    if vol == 0 || cout == 0 || taps.is_empty() {
+        for (o, &b) in out.chunks_exact_mut(vol.max(1)).zip(bias) {
+            o.fill(b);
+        }
+        return;
+    }
+    let reach: usize = grid.iter().map(|&(e, step)| (e - 1) * step).sum();
+    let max_tap = taps.iter().copied().max().unwrap_or(0);
+    assert!(
+        reach + max_tap < input.len(),
+        "conv3d_direct: a tap reads past the padded input"
+    );
+    #[cfg(target_arch = "x86_64")]
+    {
+        let f = cpu_features();
+        if !f.forced_scalar && f.avx2 && f.fma {
+            // SAFETY: AVX2+FMA was detected; every tile origin is at most
+            // `reach` and every tap at most `max_tap`, whose sum is asserted
+            // in bounds above, and `weights` holds `taps.len()` lane groups
+            // per channel group.
+            return unsafe { conv_rows_fma(input, taps, grid, weights, bias, out) };
+        }
+    }
+    conv_rows(taps, grid, weights, bias, out, |origins, w, seed, tile| {
+        conv_tile_scalar(input, origins, taps, w, seed, tile)
+    });
+}
+
+/// Accumulator tile of the direct conv: `CONV_LANES` output channels for
+/// each of `CONV_POS` positions.
+type ConvTile = [[f64; CONV_LANES]; CONV_POS];
+
+/// Driver of [`conv3d_direct`] (arguments validated): walk the output
+/// positions in tiles of `CONV_POS`, fill each channel group's tile with
+/// `tile_fn` and store its live lanes. Inlined into each ISA path, so the
+/// tile function inlines too.
+#[inline(always)]
+fn conv_rows(
+    taps: &[usize],
+    grid: [(usize, usize); 3],
+    weights: &[f64],
+    bias: &[f64],
+    out: &mut [f64],
+    mut tile_fn: impl FnMut(&[usize; CONV_POS], &[f64], &[f64; CONV_LANES], &mut ConvTile),
+) {
+    let (cout, group_len) = (bias.len(), taps.len() * CONV_LANES);
+    let [(ed, step_z), (eh, step_y), (ew, step_x)] = grid;
+    let vol = ed * eh * ew;
+    let (mut z, mut y, mut x) = (0, 0, 0);
+    let mut origins = [0usize; CONV_POS];
+    let mut tile: ConvTile = [[0.0; CONV_LANES]; CONV_POS];
+    for p0 in (0..vol).step_by(CONV_POS) {
+        let np = (vol - p0).min(CONV_POS);
+        for o in &mut origins[..np] {
+            *o = z * step_z + y * step_y + x * step_x;
+            x += 1;
+            if x == ew {
+                (x, y) = (0, y + 1);
+                if y == eh {
+                    (y, z) = (0, z + 1);
+                }
+            }
+        }
+        // Dead lanes of a short tile repeat its last position, so they read
+        // in bounds; their results are not stored.
+        let last = origins[np - 1];
+        origins[np..].fill(last);
+        for c0 in (0..cout).step_by(CONV_LANES) {
+            let w = &weights[c0 * taps.len()..][..group_len];
+            let seed = std::array::from_fn(|l| bias.get(c0 + l).copied().unwrap_or(0.0));
+            tile_fn(&origins, w, &seed, &mut tile);
+            for l in 0..(cout - c0).min(CONV_LANES) {
+                let o = &mut out[(c0 + l) * vol + p0..][..np];
+                for (dst, acc) in o.iter_mut().zip(&tile) {
+                    *dst = acc[l];
+                }
+            }
+        }
+    }
+}
+
+/// [`conv_rows`] with the AVX2+FMA tile, compiled for AVX2+FMA as a whole.
+///
+/// # Safety
+///
+/// The host must support AVX2 and FMA, and the arguments must pass the
+/// checks in [`conv3d_direct`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn conv_rows_fma(
+    input: &[f64],
+    taps: &[usize],
+    grid: [(usize, usize); 3],
+    weights: &[f64],
+    bias: &[f64],
+    out: &mut [f64],
+) {
+    conv_rows(taps, grid, weights, bias, out, |origins, w, seed, tile| {
+        // SAFETY: the caller's contract (see above).
+        unsafe { conv_tile_fma(input.as_ptr(), origins, taps, w.as_ptr(), seed, tile) }
+    });
+}
+
+/// Scalar twin of [`conv_tile_fma`]: the same per-element sequence with a
+/// multiply then an add per tap.
+fn conv_tile_scalar(
+    x: &[f64],
+    origins: &[usize; CONV_POS],
+    taps: &[usize],
+    w: &[f64],
+    seed: &[f64; CONV_LANES],
+    tile: &mut ConvTile,
+) {
+    *tile = [*seed; CONV_POS];
+    for (&off, wt) in taps.iter().zip(w.chunks_exact(CONV_LANES)) {
+        for (acc, &o) in tile.iter_mut().zip(origins) {
+            let xv = x[o + off];
+            for (a, &wl) in acc.iter_mut().zip(wt) {
+                *a += wl * xv;
+            }
+        }
+    }
+}
+
+/// AVX2+FMA direct-conv tile: `CONV_POS` YMM accumulators of `CONV_LANES`
+/// output channels, seeded with the bias; per tap one weight-vector load
+/// and, per position, one broadcast + one FMA.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn conv_tile_fma(
+    x: *const f64,
+    origins: &[usize; CONV_POS],
+    taps: &[usize],
+    w: *const f64,
+    seed: &[f64; CONV_LANES],
+    tile: &mut ConvTile,
+) {
+    use std::arch::x86_64::*;
+    let mut acc = [_mm256_loadu_pd(seed.as_ptr()); CONV_POS];
+    let rows = origins.map(|o| x.add(o));
+    for (t, &off) in taps.iter().enumerate() {
+        let wv = _mm256_loadu_pd(w.add(t * CONV_LANES));
+        for (a, r) in acc.iter_mut().zip(&rows) {
+            *a = _mm256_fmadd_pd(_mm256_broadcast_sd(&*r.add(off)), wv, *a);
+        }
+    }
+    for (a, dst) in acc.iter().zip(tile.iter_mut()) {
+        _mm256_storeu_pd(dst.as_mut_ptr(), *a);
+    }
+}
+
+// ---------------------------------------------------------------------------
 // int8 path
 // ---------------------------------------------------------------------------
 
@@ -739,6 +944,57 @@ mod tests {
                     (x - y).abs()
                 );
             }
+        }
+    }
+
+    /// Both direct-conv paths over a 1-D "volume" (grid z = y = 1) with a
+    /// ragged channel group (6 channels) and a ragged position tile (13
+    /// positions): the scalar twin is bitwise equal to bias-then-taps
+    /// multiply-add in `taps` order, the FMA path within the FMA bound.
+    #[test]
+    fn conv3d_direct_paths_match_the_tap_order() {
+        let mut rng = StdRng::seed_from_u64(0xC0DE);
+        let (cout, vol, taps) = (6usize, 13usize, [0usize, 1, 2, 5, 9]);
+        let input = random_mat(&mut rng, 2 * vol + 10);
+        let w_raw = random_mat(&mut rng, cout * taps.len());
+        let bias = random_mat(&mut rng, cout);
+        let mut packed = vec![0.0; 2 * taps.len() * CONV_LANES];
+        for (i, p) in packed.iter_mut().enumerate() {
+            let co = i / (taps.len() * CONV_LANES) * CONV_LANES + i % CONV_LANES;
+            if co < cout {
+                *p = w_raw[co * taps.len() + i / CONV_LANES % taps.len()];
+            }
+        }
+        let grid = [(1, 0), (1, 0), (vol, 2)];
+        // Both orders are within γ_{k+2}·(|bias| + Σ|terms|) of exact.
+        let gamma = 2.0 * (taps.len() + 2) as f64 * f64::EPSILON;
+        let (mut want, mut bound) = (vec![0.0; cout * vol], vec![0.0; cout * vol]);
+        for co in 0..cout {
+            for p in 0..vol {
+                let (mut acc, mut mag) = (bias[co], bias[co].abs());
+                for (t, &off) in taps.iter().enumerate() {
+                    let term = w_raw[co * taps.len() + t] * input[2 * p + off];
+                    acc += term;
+                    mag += term.abs();
+                }
+                want[co * vol + p] = acc;
+                bound[co * vol + p] = gamma * mag;
+            }
+        }
+        let mut scalar = vec![f64::NAN; cout * vol];
+        conv_rows(
+            &taps,
+            grid,
+            &packed,
+            &bias,
+            &mut scalar,
+            |o, w, seed, tile| conv_tile_scalar(&input, o, &taps, w, seed, tile),
+        );
+        assert_eq!(scalar, want, "scalar twin is not bias-then-taps in order");
+        let mut host = vec![f64::NAN; cout * vol];
+        conv3d_direct(&input, &taps, grid, &packed, &bias, &mut host);
+        for ((&h, &w), &b) in host.iter().zip(&want).zip(&bound) {
+            assert!((h - w).abs() <= b, "host path {h} vs {w}");
         }
     }
 

@@ -1,5 +1,5 @@
 //! Cross-loop batch planning: group ready leases sharing a perceptor
-//! signature and lower their ticks onto one batched im2col + GEMM call.
+//! signature and run their forwards as one batched conv call.
 //!
 //! The planner collects admitted observations (already shed-checked by the
 //! pool) during an ingress drain, then [`BatchPlanner::flush`] executes

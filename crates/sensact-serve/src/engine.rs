@@ -35,7 +35,7 @@ pub struct ServeConfig {
     /// Pool sizing and policy.
     pub pool: PoolConfig,
     /// Cross-loop batching: defer observation execution to the flush
-    /// boundary and stack grouped perceptor forwards into one GEMM.
+    /// boundary and run grouped perceptor forwards as one batched call.
     pub batched: bool,
 }
 

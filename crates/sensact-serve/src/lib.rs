@@ -9,9 +9,10 @@
 //!
 //! The headline refactor is **cross-loop batched inference**: leases
 //! sharing a perceptor signature are grouped by the [`BatchPlanner`] and
-//! their forward passes lowered onto one stacked im2col + batched GEMM
-//! call per drain cycle. Because the batched kernels are bitwise identical
-//! to the per-loop path and every tick is released at its own arrival
+//! their forward passes run as one batched conv call per drain cycle.
+//! Because the batched call is bitwise identical to the per-loop path (the
+//! direct conv kernel's per-element rounding does not depend on batch
+//! size) and every tick is released at its own arrival
 //! time, batching changes wall-clock throughput only — actions, telemetry,
 //! and scheduler accounting are bit-identical in both modes (tested).
 //!

@@ -8,8 +8,8 @@
 //! 1. Perception is **stateless given the weights** — a leased loop's
 //!    identity lives entirely in its controller state, so any number of
 //!    leases can share one [`SharedPerceptor`] and their forward passes can
-//!    be stacked into a single batched GEMM
-//!    ([`Conv3d::forward_batch`]) without coupling their trajectories.
+//!    run as one batched call ([`Conv3d::forward_batch`]) without coupling
+//!    their trajectories.
 //! 2. Controller arithmetic uses exactly representable binary-fraction
 //!    coefficients, so an action is a pure function of (weights, state,
 //!    observation) bits — the wire carries it bit-exactly and a restored
@@ -25,8 +25,8 @@ pub enum ModelKind {
     /// Voxel-grid perception: a shared `Conv3d` over an `8³` occupancy
     /// grid (1 input channel, 4 output channels, stride 2) feeding a
     /// per-channel damped-integrator controller. This is the batchable
-    /// signature: all LidarConv leases share one weight set and their
-    /// im2col panels stack into one GEMM.
+    /// signature: all LidarConv leases share one weight set, so their rows
+    /// run through one batched conv call.
     LidarConv,
     /// Classic 4-state cart-pole with a per-lease linear gain vector and an
     /// integral term. Perception is the identity (4 floats in, 4 out), so
@@ -88,7 +88,7 @@ impl ModelKind {
     }
 
     /// Whether leases of this kind share a perceptor whose forward passes
-    /// can be stacked into one batched GEMM.
+    /// can run as one batched call.
     pub fn batchable(self) -> bool {
         matches!(self, ModelKind::LidarConv)
     }
@@ -205,8 +205,8 @@ impl SharedPerceptor {
         }
     }
 
-    /// Cross-loop batched forward: all rows through **one** stacked
-    /// im2col + batched GEMM ([`Conv3d::forward_batch`]), bitwise identical
+    /// Cross-loop batched forward: all rows through **one** conv call
+    /// ([`Conv3d::forward_batch`], weights packed once), bitwise identical
     /// to the per-row path for every batch size.
     pub fn forward_many(&mut self, rows: &[&[f64]], feats_out: &mut [f64]) {
         match &mut self.conv {

@@ -26,6 +26,12 @@ fi
 echo "== cargo test (workspace) =="
 cargo test --offline --workspace -q
 
+# The direct conv kernel's scalar twin must keep batched serving bitwise
+# equal to per-row serving on hosts without AVX2+FMA, too.
+echo "== cargo test (nn + serve + serving integration, forced-scalar path) =="
+SENSACT_FORCE_SCALAR=1 cargo test --offline -q -p sensact-nn -p sensact-serve
+SENSACT_FORCE_SCALAR=1 cargo test --offline -q --test serve_integration
+
 echo "== cargo doc (-D warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps -q
 
