@@ -8,7 +8,7 @@
 //! decode), so the numbers are the serving stack's cost, not the kernels'
 //! alone. The cross-loop batching win shows up at fleet ≥ 64, where half
 //! the leases share the LidarConv perceptor and their forwards collapse
-//! into one stacked GEMM per drain.
+//! into one batched conv call per drain.
 //!
 //! Writes `BENCH_serve.json` (full mode), whose `gate` headlines
 //! (`bench_gate` re-measures them) pin batched-vs-unbatched serving cost at
@@ -100,7 +100,7 @@ fn main() {
             .collect();
         // Gate headlines: paired batched/unbatched ratios at fleet 64 —
         // the regime where the whole fleet's working set is still
-        // cache-resident, so the stacked-GEMM win is cleanest. The
+        // cache-resident, so the batching win is cleanest. The
         // committed baselines are medians over five 400-round passes (the
         // center of the statistic); `bench_gate` re-measures single passes
         // with the exact same routine and compares its best-of-three floor

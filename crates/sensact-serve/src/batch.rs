@@ -44,7 +44,7 @@ pub struct FlushedObs {
 pub struct FlushStats {
     /// Observations executed.
     pub ticks: usize,
-    /// Stacked GEMM groups dispatched.
+    /// Batched perceptor groups dispatched.
     pub batches: usize,
     /// Largest group size.
     pub max_occupancy: usize,
@@ -249,7 +249,7 @@ mod tests {
             }
             let (flushed, stats, occ) = planner.flush(&mut batched);
             assert_eq!(stats.ticks, leases.len());
-            assert_eq!(stats.batches, 1, "the 4 lidar leases stack into one GEMM");
+            assert_eq!(stats.batches, 1, "the 4 lidar leases form one batch");
             assert_eq!(stats.max_occupancy, 4);
             assert_eq!(occ, vec![4]);
             for (got, want) in flushed.iter().zip(&expected) {

@@ -37,7 +37,7 @@ pub const HTTP_REQUESTS: &str = "serve.http.requests";
 pub const HTTP_ERRORS: &str = "serve.http.errors";
 /// Heartbeats received.
 pub const HEARTBEATS: &str = "serve.heartbeats";
-/// Per-flush stacked-GEMM group occupancy (histogram).
+/// Per-flush batched-group occupancy (histogram).
 pub const BATCH_OCCUPANCY: &str = "serve.batch.occupancy";
 /// Client-visible response time per served observation (histogram,
 /// virtual seconds).

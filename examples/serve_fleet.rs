@@ -25,7 +25,7 @@ fn obs(len: usize, lease: u64, round: u64) -> Vec<f64> {
 fn main() {
     // A batched server: observations admitted during one ingress drain are
     // executed together at the flush, where leases sharing a perceptor
-    // collapse into one stacked GEMM.
+    // run as one batched conv call.
     let mut lb = Loopback::new(ServeConfig {
         pool: PoolConfig {
             workers: 16,
@@ -94,7 +94,7 @@ fn main() {
     let metrics = lb.engine().metrics();
     if let Some(occ) = metrics.histogram("serve.batch.occupancy") {
         println!(
-            "batched GEMM groups: {} (occupancy mean {:.1}, max {:.0})",
+            "batched groups: {} (occupancy mean {:.1}, max {:.0})",
             occ.count(),
             occ.mean(),
             occ.max()

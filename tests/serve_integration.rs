@@ -6,7 +6,7 @@
 //!
 //! * **Batching is invisible in the bits.** A fleet whose lidar leases
 //!   share one perceptor must produce byte-identical reply frames whether
-//!   their forwards are stacked into one cross-loop GEMM or dispatched
+//!   their forwards run as one cross-loop batched call or are dispatched
 //!   per loop — batching may only change wall-clock cost, never results.
 //! * **A killed lease replays.** Snapshot a live lease mid-stream, ship
 //!   the checkpoint through its JSONL wire form, restore it onto a fresh
@@ -115,7 +115,7 @@ fn batched_loopback_is_bitwise_identical_to_per_loop_dispatch() {
         .histogram("serve.batch.occupancy")
         .expect("batched server records occupancy");
     assert!(occupancy.count() > 0, "the lidar pair never stacked");
-    assert_eq!(occupancy.max(), 2.0, "both lidar leases share each GEMM");
+    assert_eq!(occupancy.max(), 2.0, "both lidar leases share each batch");
     assert!(
         per_loop
             .engine()
