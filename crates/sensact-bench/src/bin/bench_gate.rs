@@ -150,7 +150,7 @@ fn main() {
         .expect("BENCH_kernels.json carries a serve_conv_row object");
     let committed_conv = json_number(&kernels[conv_at..], "direct_over_reference_pct")
         .expect("BENCH_kernels.json carries serve_conv_row.direct_over_reference_pct");
-    let fresh_conv = best_of_three(|| serve_conv_row(31).ratio_pct());
+    let fresh_conv = best_of_three(|| serve_conv_row(101).ratio_pct());
     check(
         "served conv direct/reference",
         committed_conv,
